@@ -186,30 +186,26 @@ func Fig8(sf float64, queries []int) ([]Fig8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := scs.CostModel()
 	var rows []Fig8Row
 	for _, qn := range queries {
 		_, stats, err := runQuery(scs, tpch.Queries[qn])
 		if err != nil {
 			return nil, fmt.Errorf("fig8 q%d: %w", qn, err)
 		}
-		rows = append(rows, breakdownFractions(qn, model, stats))
+		rows = append(rows, breakdownFractions(qn, stats))
 	}
 	return rows, nil
 }
 
-// breakdownFractions prices one split query's stats into the Figure 8 cost
-// fractions (shared by the figure reproduction and the JSON emitter).
-func breakdownFractions(qn int, model *simtime.CostModel, stats *ironsafe.QueryStats) Fig8Row {
-	hostCost := model.PriceCPU(stats.Host, model.Host, 1)
-	storCost := model.PriceCPU(stats.Storage, model.Storage, 0)
-	ndp := hostCost.Compute + hostCost.PageIO + storCost.Compute + storCost.PageIO
-	fresh := hostCost.Freshness + storCost.Freshness +
-		time.Duration(stats.Storage.RPMBReads+stats.Storage.RPMBWrites)*model.TEE.RPMBRead
-	dec := hostCost.Decrypt + storCost.Decrypt
-	other := model.PriceTEE(stats.Host) + model.PriceTEE(stats.Storage) - time.Duration(stats.Storage.RPMBReads+stats.Storage.RPMBWrites)*model.TEE.RPMBRead +
-		model.PriceBatchTransitions(stats.Host) + model.PriceBatchTransitions(stats.Storage) +
-		model.PriceLink(stats.Host.BytesSent+stats.Host.BytesReceived, int64(stats.Offloads*2))
+// breakdownFractions splits one split query's priced cost into the Figure 8
+// fractions (shared by the figure reproduction and the JSON emitter): NDP is
+// both sides' compute and page staging, Other their TEE terms plus the link.
+func breakdownFractions(qn int, stats *ironsafe.QueryStats) Fig8Row {
+	h, st := stats.Cost.Host, stats.Cost.Storage
+	ndp := h.Compute + h.PageIO + st.Compute + st.PageIO
+	fresh := h.Freshness + st.Freshness
+	dec := h.Decrypt + st.Decrypt
+	other := h.TEE + st.TEE + stats.Cost.Transfer
 	total := ndp + fresh + dec + other
 	if total == 0 {
 		total = 1
@@ -345,8 +341,10 @@ func Fig9c(sf float64, queries []int) ([]Fig9cRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig9c q%d: %w", qn, err)
 		}
-		cost := model.PriceCPU(stats.Storage, model.Storage, 1)
-		total := cost.Total()
+		// One core, and without the TEE terms: the figure splits the
+		// secure-storage work itself.
+		cost := model.Price(simtime.Snapshot{}, stats.Storage, 0, simtime.Placement{StorageCores: 1}).Storage
+		total := cost.Total() - cost.TEE
 		if total == 0 {
 			total = 1
 		}
@@ -423,16 +421,13 @@ func Fig11(sf float64, queries []int, budgets []int64) ([]Fig11Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		model := scs.CostModel()
 		for _, qn := range queries {
 			_, stats, err := runQuery(scs, tpch.Queries[qn])
 			if err != nil {
 				return nil, fmt.Errorf("fig11 q%d budget=%d: %w", qn, budget, err)
 			}
 			// Offloaded portion only: the storage side cost.
-			storCost := model.PriceCPU(stats.Storage, model.Storage, 0)
-			storCost.TEE = model.PriceTEE(stats.Storage) + model.PriceBatchTransitions(stats.Storage)
-			times[qn] = append(times[qn], storCost.Total())
+			times[qn] = append(times[qn], stats.Cost.Storage.Total())
 		}
 	}
 	var rows []Fig11Row
@@ -518,11 +513,8 @@ func fig12Cumulative(data *tpch.Data, queries []int, n int) (time.Duration, erro
 			return 0, err
 		}
 	}
-	model := c.CostModel()
-	snap := c.StorageMeter.Snapshot()
-	cost := model.PriceCPU(snap, model.Storage, 1)
-	cost.TEE = model.PriceTEE(snap) + model.PriceBatchTransitions(snap)
-	return cost.Total(), nil
+	at := simtime.Placement{StorageTEE: true, StorageCores: 1}
+	return c.CostModel().Price(simtime.Snapshot{}, c.StorageMeter.Snapshot(), 0, at).Storage.Total(), nil
 }
 
 // SortedQueries returns the evaluated query list in order.

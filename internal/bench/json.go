@@ -86,8 +86,6 @@ type ScanCounters struct {
 	ScanBatches       int64 `json:"scan_batches"`
 	MerkleHashes      int64 `json:"merkle_hashes"`
 	MerkleHashesSaved int64 `json:"merkle_hashes_saved"`
-	PlainCacheHits    int64 `json:"plain_cache_hits"`
-	PlainCacheMisses  int64 `json:"plain_cache_misses"`
 }
 
 // jsonQueryKey names a query in the JSON maps.
@@ -126,7 +124,6 @@ func CollectResults(sf float64, queries []int) (*Results, error) {
 		if err != nil {
 			return nil, fmt.Errorf("results %s: %w", mode, err)
 		}
-		model := c.CostModel()
 		times := map[string]float64{}
 		logSum, n := 0.0, 0
 		for _, qn := range queries {
@@ -142,7 +139,7 @@ func CollectResults(sf float64, queries []int) (*Results, error) {
 				n++
 			}
 			if mode == ironsafe.IronSafe {
-				f := breakdownFractions(qn, model, stats)
+				f := breakdownFractions(qn, stats)
 				res.ScsBreakdown[key] = Breakdown{
 					NDP: f.NDP, Freshness: f.Freshness, Decrypt: f.Decrypt, Other: f.Other,
 				}
@@ -150,8 +147,6 @@ func CollectResults(sf float64, queries []int) (*Results, error) {
 					ScanBatches:       stats.Storage.ScanBatches,
 					MerkleHashes:      stats.Storage.MerkleHashes,
 					MerkleHashesSaved: stats.Storage.MerkleHashesSaved,
-					PlainCacheHits:    stats.Storage.PlainCacheHits,
-					PlainCacheMisses:  stats.Storage.PlainCacheMisses,
 				}
 			}
 		}

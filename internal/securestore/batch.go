@@ -16,9 +16,7 @@ import (
 // pipeline & verification batching"): ReadPages fetches a whole run of
 // pages, decrypts and authenticates them in a bounded worker pool outside
 // the store mutex, then performs one batched Merkle verification that hashes
-// each shared ancestor exactly once instead of once per page. A verified
-// batch may be retained in a bounded plaintext cache so re-scans skip the
-// device, the crypto, and the tree walk entirely.
+// each shared ancestor exactly once instead of once per page.
 
 // ErrSnapshotRetry reports that a batched read raced concurrent commits
 // repeatedly: every attempt observed a commit-sequence bump between fetching
@@ -57,10 +55,7 @@ func (s *Store) ReadPages(idxs []uint32) ([][]byte, error) {
 // readPagesAt runs one batched read attempt. retry reports that a concurrent
 // commit moved the store past the snapshot this attempt fetched at.
 func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error) {
-	out = make([][]byte, len(idxs))
-
-	// Snapshot the commit sequence and satisfy what we can from the
-	// verified-plaintext cache, all under one lock hold.
+	// Snapshot the commit sequence under the lock.
 	s.mu.Lock()
 	if s.failed != nil {
 		ferr := s.failed
@@ -78,59 +73,36 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 		}
 	}
 	seq0 := s.seq
-	var hits, misses int64
-	for i, idx := range idxs {
-		if s.cache != nil {
-			if plain, ok := s.cache.get(idx); ok {
-				out[i] = plain
-				hits++
-				continue
-			}
-		}
-		misses++
-	}
 	s.mu.Unlock()
 
 	s.meter.ScanBatches.Add(1)
-	if s.cache != nil {
-		s.meter.PlainCacheHits.Add(hits)
-		s.meter.PlainCacheMisses.Add(misses)
-	}
-	if misses == 0 {
-		return out, false, nil
-	}
 
-	// Fetch the missing records sequentially, in index order: the device-
-	// operation sequence must stay a deterministic function of the request,
-	// because the fault-injection framework keys its per-site streams on it.
-	miss := make([]int, 0, misses)
-	records := make([][]byte, 0, misses)
+	// Fetch the records sequentially, in index order: the device-operation
+	// sequence must stay a deterministic function of the request, because
+	// the fault-injection framework keys its per-site streams on it.
+	records := make([][]byte, len(idxs))
 	for i, idx := range idxs {
-		if out[i] != nil {
-			continue
-		}
 		record, rerr := s.dev.ReadBlock(idx)
 		if rerr != nil {
 			return nil, false, rerr
 		}
-		miss = append(miss, i)
-		records = append(records, record)
+		records[i] = record
 	}
-	s.meter.PagesRead.Add(int64(len(miss)))
+	s.meter.PagesRead.Add(int64(len(idxs)))
 
 	// Decrypt + authenticate outside the lock, across up to NumCPU workers.
 	// Errors are collected per page and reported for the lowest page index,
 	// so the outcome does not depend on goroutine scheduling.
-	plains := make([][]byte, len(miss))
-	macs := make([][]byte, len(miss))
-	errs := make([]error, len(miss))
+	plains := make([][]byte, len(idxs))
+	macs := make([][]byte, len(idxs))
+	errs := make([]error, len(idxs))
 	workers := runtime.NumCPU()
-	if workers > len(miss) {
-		workers = len(miss)
+	if workers > len(idxs) {
+		workers = len(idxs)
 	}
 	if workers <= 1 {
-		for k := range miss {
-			plains[k], macs[k], errs[k] = s.openPage(idxs[miss[k]], records[k])
+		for k, idx := range idxs {
+			plains[k], macs[k], errs[k] = s.openPage(idx, records[k])
 		}
 	} else {
 		var next atomic.Int64
@@ -141,10 +113,10 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 				defer wg.Done()
 				for {
 					k := int(next.Add(1)) - 1
-					if k >= len(miss) {
+					if k >= len(idxs) {
 						return
 					}
-					plains[k], macs[k], errs[k] = s.openPage(idxs[miss[k]], records[k])
+					plains[k], macs[k], errs[k] = s.openPage(idxs[k], records[k])
 				}
 			}()
 		}
@@ -152,10 +124,10 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 	}
 	for k, oerr := range errs {
 		if oerr != nil {
-			return nil, false, fmt.Errorf("securestore: batched read of page %d: %w", idxs[miss[k]], oerr)
+			return nil, false, fmt.Errorf("securestore: batched read of page %d: %w", idxs[k], oerr)
 		}
 	}
-	s.meter.PagesDecrypted.Add(int64(len(miss)))
+	s.meter.PagesDecrypted.Add(int64(len(idxs)))
 
 	// Verify the whole batch against one tree state. A commit may have landed
 	// while we were off the lock: its records on the medium no longer match
@@ -168,20 +140,10 @@ func (s *Store) readPagesAt(idxs []uint32) (out [][]byte, retry bool, err error)
 	if s.seq != seq0 {
 		return nil, true, nil
 	}
-	leafIdxs := make([]uint32, len(miss))
-	for k, i := range miss {
-		leafIdxs[k] = idxs[i]
-	}
-	if err := s.verifyBatch(leafIdxs, macs); err != nil {
+	if err := s.verifyBatch(idxs, macs); err != nil {
 		return nil, false, err
 	}
-	for k, i := range miss {
-		out[i] = plains[k]
-		if s.cache != nil {
-			s.cache.put(idxs[i], plains[k])
-		}
-	}
-	return out, false, nil
+	return plains, false, nil
 }
 
 // verifyBatch checks a set of leaves against the trusted in-memory tree with
@@ -282,107 +244,6 @@ func (s *Store) invalidatePath(idx int) {
 		idx /= a
 		delete(s.verified, [2]int{lvl, idx})
 	}
-}
-
-// CacheBytes reports the current size of the verified-plaintext page cache.
-// Hosts running the store inside an SGX enclave add this to TreeBytes when
-// sizing the enclave working set against the EPC limit.
-func (s *Store) CacheBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.bytes
-}
-
-// plainCache is a byte-capped cache of verified plaintext pages with clock
-// (second-chance) eviction. All methods are called with the store mutex
-// held; entries are copied on the way in and out because heap-file code
-// mutates the buffers it is handed.
-type plainCache struct {
-	capBytes int64
-	bytes    int64
-	entries  map[uint32]*plainEntry
-	ring     []uint32 // clock ring of resident page indices
-	hand     int
-}
-
-type plainEntry struct {
-	data []byte
-	ref  bool // second-chance bit
-}
-
-func newPlainCache(capBytes int64) *plainCache {
-	return &plainCache{capBytes: capBytes, entries: map[uint32]*plainEntry{}}
-}
-
-func (c *plainCache) get(idx uint32) ([]byte, bool) {
-	e, ok := c.entries[idx]
-	if !ok {
-		return nil, false
-	}
-	e.ref = true
-	return append([]byte(nil), e.data...), true
-}
-
-func (c *plainCache) put(idx uint32, plain []byte) {
-	if c.capBytes < int64(len(plain)) {
-		return // cache too small to ever hold a page
-	}
-	if e, ok := c.entries[idx]; ok {
-		c.bytes += int64(len(plain)) - int64(len(e.data))
-		e.data = append([]byte(nil), plain...)
-		e.ref = true
-		c.evict()
-		return
-	}
-	c.entries[idx] = &plainEntry{data: append([]byte(nil), plain...)}
-	c.ring = append(c.ring, idx)
-	c.bytes += int64(len(plain))
-	c.evict()
-}
-
-// evict advances the clock hand until the cache fits its byte cap: a
-// referenced entry gets its second chance (bit cleared, hand moves on), an
-// unreferenced one is dropped.
-func (c *plainCache) evict() {
-	for c.bytes > c.capBytes && len(c.ring) > 0 {
-		if c.hand >= len(c.ring) {
-			c.hand = 0
-		}
-		idx := c.ring[c.hand]
-		e, ok := c.entries[idx]
-		if !ok {
-			// Slot belongs to an invalidated entry; compact it away.
-			c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-			continue
-		}
-		if e.ref {
-			e.ref = false
-			c.hand++
-			continue
-		}
-		delete(c.entries, idx)
-		c.bytes -= int64(len(e.data))
-		c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
-	}
-}
-
-// invalidate drops one page (its ring slot is lazily reclaimed by evict).
-func (c *plainCache) invalidate(idx uint32) {
-	if e, ok := c.entries[idx]; ok {
-		c.bytes -= int64(len(e.data))
-		delete(c.entries, idx)
-	}
-}
-
-// clear empties the cache.
-func (c *plainCache) clear() {
-	c.entries = map[uint32]*plainEntry{}
-	c.ring = c.ring[:0]
-	c.hand = 0
-	c.bytes = 0
 }
 
 // compile-time interface check: the secure store satisfies the batched

@@ -332,11 +332,6 @@ func (t *Txn) Commit() error {
 			s.invalidatePath(int(oldN) - 1)
 		}
 	}
-	if s.cache != nil {
-		for _, e := range entries {
-			s.cache.invalidate(e.Idx)
-		}
-	}
 	postTag := s.rootTag()
 
 	// Journal first: once this write completes the transaction is durable;

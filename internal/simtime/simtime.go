@@ -39,8 +39,6 @@ type Meter struct {
 	Batches            atomic.Int64 // executor operator-batch dispatches (vectorized pipeline)
 	ScanBatches        atomic.Int64 // batched multi-page reads issued by the scan pipeline
 	MerkleHashesSaved  atomic.Int64 // HMAC evaluations avoided by batched verification
-	PlainCacheHits     atomic.Int64 // verified-plaintext page cache hits
-	PlainCacheMisses   atomic.Int64 // verified-plaintext page cache misses
 }
 
 // Snapshot is an immutable copy of a Meter's counters.
@@ -64,8 +62,6 @@ type Snapshot struct {
 	Batches            int64
 	ScanBatches        int64
 	MerkleHashesSaved  int64
-	PlainCacheHits     int64
-	PlainCacheMisses   int64
 }
 
 // Snapshot captures the current counter values.
@@ -90,8 +86,6 @@ func (m *Meter) Snapshot() Snapshot {
 		Batches:            m.Batches.Load(),
 		ScanBatches:        m.ScanBatches.Load(),
 		MerkleHashesSaved:  m.MerkleHashesSaved.Load(),
-		PlainCacheHits:     m.PlainCacheHits.Load(),
-		PlainCacheMisses:   m.PlainCacheMisses.Load(),
 	}
 }
 
@@ -123,8 +117,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		Batches:            s.Batches - o.Batches,
 		ScanBatches:        s.ScanBatches - o.ScanBatches,
 		MerkleHashesSaved:  s.MerkleHashesSaved - o.MerkleHashesSaved,
-		PlainCacheHits:     s.PlainCacheHits - o.PlainCacheHits,
-		PlainCacheMisses:   s.PlainCacheMisses - o.PlainCacheMisses,
 	}
 }
 
@@ -176,7 +168,7 @@ type TEEProfile struct {
 	// batch boundary: spilled-register save/restore and EPC-resident
 	// working-set shuffling at each dispatch, far cheaper than a full
 	// ECALL/OCALL pair but nonzero (the Figure 8 "other" sliver DuckDB-SGX2
-	// measures). Charged per Batches count on secure sides only.
+	// measures). Price charges it per Batches count on TEE sides only.
 	BatchTransition time.Duration
 	// EPCFault is the cost of evicting + reloading one enclave page when
 	// the working set exceeds the EPC.
@@ -283,29 +275,53 @@ func (m CostModel) PriceCPU(s Snapshot, p CPUProfile, cores int) SideCost {
 	return c
 }
 
-// PriceTEE prices the trusted-execution overheads in a snapshot.
-func (m CostModel) PriceTEE(s Snapshot) time.Duration {
-	t := m.TEE
-	return time.Duration(s.EnclaveTransitions)*t.EnclaveTransition +
-		time.Duration(s.EPCFaults)*t.EPCFault +
-		time.Duration(s.WorldSwitches)*t.WorldSwitch +
-		time.Duration(s.RPMBReads)*t.RPMBRead +
-		time.Duration(s.RPMBWrites)*t.RPMBWrite
-}
-
-// PriceBatchTransitions prices the amortized in-enclave operator-batch
-// boundary cost for one side's snapshot. It is separate from PriceTEE because
-// Batches accrue in every execution mode, but only secure sides pay the
-// enclave working-set cost per batch — the caller applies it to the TEE
-// component of secure sides only.
-func (m CostModel) PriceBatchTransitions(s Snapshot) time.Duration {
-	return time.Duration(s.Batches) * m.TEE.BatchTransition
-}
-
 // PriceLink prices data transfer. messages is the number of protocol round
 // trips observed.
 func (m CostModel) PriceLink(bytes, messages int64) time.Duration {
 	return time.Duration(bytes)*m.Link.PerByte + time.Duration(messages)*m.Link.PerMessage
+}
+
+// Placement says where one query's two sides ran: which of them execute
+// inside a TEE, and how many cores the storage side's parallel work spreads
+// over. A cluster fixes it once from its configuration (Table 2's modes).
+type Placement struct {
+	HostTEE    bool
+	StorageTEE bool
+	// StorageCores divides the storage side's parallel work; 0 means the
+	// storage profile's Cores.
+	StorageCores int
+}
+
+// Price converts one query's meter deltas into its priced execution: the
+// host side on one core (the host query section is single-threaded, as in
+// SQLite), the storage side on at.StorageCores, and the link for the host's
+// protocol bytes plus messages round trips. Queries and figures all price
+// through it. RPMB operations count as freshness; enclave
+// transitions, EPC faults and world switches count as TEE, and so does one
+// BatchTransition per operator batch on each side the placement runs in a
+// TEE (Batches accrue in every mode, but only enclave-resident executors pay
+// the working-set shuffle per batch).
+func (m CostModel) Price(host, storage Snapshot, messages int64, at Placement) QueryCost {
+	return QueryCost{
+		Host:     m.priceSide(host, m.Host, 1, at.HostTEE),
+		Storage:  m.priceSide(storage, m.Storage, at.StorageCores, at.StorageTEE),
+		Transfer: m.PriceLink(host.BytesSent+host.BytesReceived, messages),
+	}
+}
+
+// priceSide prices one side's snapshot: CPU work on cores, then the RPMB
+// and TEE terms, which do not parallelize.
+func (m CostModel) priceSide(s Snapshot, p CPUProfile, cores int, inTEE bool) SideCost {
+	t := m.TEE
+	c := m.PriceCPU(s, p, cores)
+	c.Freshness += time.Duration(s.RPMBReads)*t.RPMBRead + time.Duration(s.RPMBWrites)*t.RPMBWrite
+	c.TEE = time.Duration(s.EnclaveTransitions)*t.EnclaveTransition +
+		time.Duration(s.EPCFaults)*t.EPCFault +
+		time.Duration(s.WorldSwitches)*t.WorldSwitch
+	if inTEE {
+		c.TEE += time.Duration(s.Batches) * t.BatchTransition
+	}
+	return c
 }
 
 // QueryCost is the full priced execution of one split query.

@@ -87,13 +87,64 @@ func TestStorageSlowerThanHost(t *testing.T) {
 	}
 }
 
-func TestPriceTEE(t *testing.T) {
+// TestPrice pins the one pricing function over the placements of the five
+// Table 2 modes: BatchTransition lands on exactly the TEE sides, the other
+// TEE terms on every side, RPMB reads and writes each at their own rate in
+// Freshness, StorageCores 0 means the profile's cores, and the link prices
+// the host's protocol bytes.
+func TestPrice(t *testing.T) {
 	m := DefaultModel()
-	s := Snapshot{EnclaveTransitions: 10, EPCFaults: 2, WorldSwitches: 3, RPMBReads: 1, RPMBWrites: 1}
-	got := m.PriceTEE(s)
-	want := 10*m.TEE.EnclaveTransition + 2*m.TEE.EPCFault + 3*m.TEE.WorldSwitch + m.TEE.RPMBRead + m.TEE.RPMBWrite
-	if got != want {
-		t.Errorf("PriceTEE = %v, want %v", got, want)
+	side := Snapshot{
+		TupleWork: 64_000, Batches: 10, PagesRead: 32, PagesDecrypted: 32, MerkleHashes: 96,
+		EnclaveTransitions: 10, EPCFaults: 2, WorldSwitches: 3, RPMBReads: 1, RPMBWrites: 2,
+		BytesSent: 1000, BytesReceived: 3000,
+	}
+	rest := 10*m.TEE.EnclaveTransition + 2*m.TEE.EPCFault + 3*m.TEE.WorldSwitch
+	rpmb := 1*m.TEE.RPMBRead + 2*m.TEE.RPMBWrite
+	batch := 10 * m.TEE.BatchTransition
+	for _, tc := range []struct {
+		mode string
+		at   Placement
+	}{
+		{"hons", Placement{}},
+		{"vcs", Placement{}},
+		{"hos", Placement{HostTEE: true}},
+		{"scs", Placement{HostTEE: true, StorageTEE: true}},
+		{"sos", Placement{StorageTEE: true}},
+		{"scs-4-cores", Placement{HostTEE: true, StorageTEE: true, StorageCores: 4}},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			q := m.Price(side, side, 6, tc.at)
+			for _, c := range []struct {
+				name  string
+				got   SideCost
+				cpu   SideCost
+				inTEE bool
+			}{
+				{"host", q.Host, m.PriceCPU(side, m.Host, 1), tc.at.HostTEE},
+				{"storage", q.Storage, m.PriceCPU(side, m.Storage, tc.at.StorageCores), tc.at.StorageTEE},
+			} {
+				wantTEE := rest
+				if c.inTEE {
+					wantTEE += batch
+				}
+				if c.got.TEE != wantTEE {
+					t.Errorf("%s TEE = %v, want %v (in TEE: %v)", c.name, c.got.TEE, wantTEE, c.inTEE)
+				}
+				if c.got.Freshness != c.cpu.Freshness+rpmb {
+					t.Errorf("%s Freshness = %v, want Merkle %v + RPMB %v", c.name, c.got.Freshness, c.cpu.Freshness, rpmb)
+				}
+				if c.got.Compute != c.cpu.Compute || c.got.PageIO != c.cpu.PageIO || c.got.Decrypt != c.cpu.Decrypt {
+					t.Errorf("%s CPU terms = %+v, want %+v", c.name, c.got, c.cpu)
+				}
+			}
+			if want := m.PriceLink(4000, 6); q.Transfer != want {
+				t.Errorf("Transfer = %v, want %v", q.Transfer, want)
+			}
+		})
+	}
+	if a, b := m.Price(Snapshot{}, side, 0, Placement{}), m.Price(Snapshot{}, side, 0, Placement{StorageCores: m.Storage.Cores}); a != b {
+		t.Errorf("StorageCores 0 priced %+v, want the profile's %d cores: %+v", a.Storage, m.Storage.Cores, b.Storage)
 	}
 }
 

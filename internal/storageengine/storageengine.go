@@ -39,8 +39,6 @@ type Config struct {
 	// Secure selects the secure store (scs/sos); false gives the vanilla
 	// pager (vcs/hons).
 	Secure bool
-	// StoreOptions tunes the secure store.
-	StoreOptions securestore.Options
 	// MemoryBudget bounds memory available to one offloaded query in
 	// bytes; materialization beyond it spills, charging extra page IO
 	// (Fig 11). Zero means unlimited.
@@ -147,7 +145,7 @@ func (s *Server) openStore() error {
 	defer s.restartMu.Unlock()
 	var store pager.PageStore
 	if s.cfg.Secure {
-		ss, err := securestore.Open(s.dev, s.nw, s.cfg.Meter, s.cfg.StoreOptions)
+		ss, err := securestore.Open(s.dev, s.nw, s.cfg.Meter, securestore.Options{})
 		if err != nil {
 			return err
 		}

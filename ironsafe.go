@@ -94,27 +94,14 @@ type Config struct {
 	StorageMemoryBudget int64
 	// EPCLimitBytes overrides the host enclave page cache (default 96 MiB).
 	EPCLimitBytes int64
-	// MerkleArity / CacheVerifiedSubtrees / GCMPages tune the secure store
-	// (the DESIGN.md ablations).
-	MerkleArity           int
-	CacheVerifiedSubtrees bool
-	GCMPages              bool
 	// ScanBatchPages is how many pages each batched secure read covers
 	// during table scans; 0 means 32, 1 restores the paper's sequential
 	// per-page path (one Merkle walk per page).
 	ScanBatchPages int
-	// ScanPrefetchBatches is how many fetched batches the scan pipeline may
-	// hold ahead of row processing; 0 means 2, negative disables read-ahead
-	// (batches fetch synchronously).
-	ScanPrefetchBatches int
 	// ExecBatchRows is the executor batch size on both engines: operators
 	// exchange columnar batches of up to this many rows. 0 means the default
 	// (exec.DefaultBatchRows, 4096); 1 restores the row-at-a-time pipeline.
 	ExecBatchRows int
-	// PlainCacheBytes caps the secure store's verified-plaintext page cache;
-	// 0 disables it. On hos the cache lives inside the enclave and counts
-	// toward the EPC working set.
-	PlainCacheBytes int64
 	// Locations and firmware versions, checked by execution policies.
 	HostLocation    string
 	StorageLocation string
@@ -163,18 +150,12 @@ func (c *Config) fill() {
 	if c.ScanBatchPages == 0 {
 		c.ScanBatchPages = 32
 	}
-	if c.ScanPrefetchBatches == 0 {
-		c.ScanPrefetchBatches = 2
-	}
 }
 
-// scanConfig translates the cluster knobs into the pager's pipeline config.
+// scanConfig translates the cluster knobs into the pager's pipeline config:
+// ScanBatchPages-page reads with two batches of read-ahead.
 func (c *Config) scanConfig() pager.ScanConfig {
-	prefetch := c.ScanPrefetchBatches
-	if prefetch < 0 {
-		prefetch = 0
-	}
-	return pager.ScanConfig{BatchPages: c.ScanBatchPages, Prefetch: prefetch}
+	return pager.ScanConfig{BatchPages: c.ScanBatchPages, Prefetch: 2}
 }
 
 // Cluster is a running IronSafe deployment: monitor + host + storage.
@@ -193,6 +174,9 @@ type Cluster struct {
 	hostDB   *engine.DB // host-local database (host-only modes)
 	secure   bool
 	database string
+	// placement says which sides run in a TEE; Session.Query prices every
+	// query with it.
+	placement simtime.Placement
 
 	res    resilience.Config
 	health *resilience.Tracker
@@ -262,17 +246,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	secureStore := cfg.Mode == IronSafe || cfg.Mode == StorageOnlySecure
 	for i := 0; i < cfg.StorageNodes; i++ {
 		srv, err := storageengine.New(storageengine.Config{
-			DeviceID:  fmt.Sprintf("storage-%02d", i+1),
-			Vendor:    c.vendor,
-			Location:  cfg.StorageLocation,
-			FWVersion: cfg.StorageFW,
-			Secure:    secureStore,
-			StoreOptions: securestore.Options{
-				Arity:                 cfg.MerkleArity,
-				CacheVerifiedSubtrees: cfg.CacheVerifiedSubtrees,
-				GCM:                   cfg.GCMPages,
-				PlainCacheBytes:       cfg.PlainCacheBytes,
-			},
+			DeviceID:      fmt.Sprintf("storage-%02d", i+1),
+			Vendor:        c.vendor,
+			Location:      cfg.StorageLocation,
+			FWVersion:     cfg.StorageFW,
+			Secure:        secureStore,
 			MemoryBudget:  cfg.StorageMemoryBudget,
 			Cores:         cfg.StorageCores,
 			Meter:         c.StorageMeter,
@@ -302,6 +280,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.placement = simtime.Placement{HostTEE: hostSecure, StorageTEE: secureStore, StorageCores: cfg.StorageCores}
 
 	// The host's attestation identity: its own enclave when secure; for
 	// the non-secure baselines a synthetic identity keeps the monitor's
@@ -377,23 +356,16 @@ func (c *Cluster) initHostDB() error {
 	if c.cfg.Mode == HostOnlySecure {
 		keys := enclaveKeySource{enclave: c.Host.Enclave()}
 		anchor := &enclaveAnchor{}
-		inner, err := securestore.OpenWith(remote, keys, anchor, c.HostMeter, securestore.Options{
-			Arity:                 c.cfg.MerkleArity,
-			CacheVerifiedSubtrees: c.cfg.CacheVerifiedSubtrees,
-			GCM:                   c.cfg.GCMPages,
-			PlainCacheBytes:       c.cfg.PlainCacheBytes,
-		})
+		inner, err := securestore.OpenWith(remote, keys, anchor, c.HostMeter, securestore.Options{})
 		if err != nil {
 			return err
 		}
-		// Both the Merkle tree and the verified-plaintext cache live inside
-		// the enclave, so both count toward the EPC working set (Fig 9a).
+		// The Merkle tree lives inside the enclave, so it counts toward the
+		// EPC working set (Fig 9a).
 		store = &hostengine.EnclavePageStore{
-			Inner:   inner,
-			Enclave: c.Host.Enclave(),
-			TreeBytes: func() int64 {
-				return inner.TreeBytes() + inner.CacheBytes()
-			},
+			Inner:     inner,
+			Enclave:   c.Host.Enclave(),
+			TreeBytes: inner.TreeBytes,
 		}
 	} else {
 		store = pager.NewPager(remote, c.HostMeter, 256)
@@ -506,7 +478,7 @@ func (c *Cluster) RegisterService(clientKey string, bit int) {
 
 // PublishScanTelemetry pushes the host's and storage side's current
 // scan-pipeline counters to the monitor, where ScanTelemetryReport exposes
-// them (batches issued, Merkle hashes saved, plaintext-cache hit rates).
+// them (batches issued, Merkle hashes saved).
 func (c *Cluster) PublishScanTelemetry() {
 	c.Monitor.ReportScanTelemetry("host-1", c.HostMeter.Snapshot())
 	c.Monitor.ReportScanTelemetry("storage", c.StorageMeter.Snapshot())

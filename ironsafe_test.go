@@ -9,6 +9,7 @@ import (
 
 	"ironsafe/internal/audit"
 	"ironsafe/internal/monitor"
+	"ironsafe/internal/simtime"
 	"ironsafe/internal/tpch"
 	"ironsafe/internal/value"
 )
@@ -300,6 +301,37 @@ func TestPriceQueryProducesCosts(t *testing.T) {
 	}
 	if qr.Stats.Cost.Total() <= 0 {
 		t.Errorf("cost = %+v", qr.Stats.Cost)
+	}
+}
+
+// TestClusterPlacement pins which sides each Table 2 mode prices as running
+// in a TEE: none for hons and vcs, the host for hos, both for scs, the
+// storage node for sos. StorageCores passes through unchanged.
+func TestClusterPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		mode Mode
+		want simtime.Placement
+	}{
+		{HostOnlyNonSecure, simtime.Placement{}},
+		{VanillaCS, simtime.Placement{}},
+		{HostOnlySecure, simtime.Placement{HostTEE: true}},
+		{IronSafe, simtime.Placement{HostTEE: true, StorageTEE: true}},
+		{StorageOnlySecure, simtime.Placement{StorageTEE: true}},
+	} {
+		c, err := NewCluster(Config{Mode: tc.mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.placement != tc.want {
+			t.Errorf("%s placement = %+v, want %+v", tc.mode, c.placement, tc.want)
+		}
+	}
+	c, err := NewCluster(Config{Mode: IronSafe, StorageCores: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.placement.StorageCores != 4 {
+		t.Errorf("StorageCores 4 placed as %+v", c.placement)
 	}
 }
 

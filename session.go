@@ -168,7 +168,8 @@ func (s *Session) Query(sql string) (*QueryResult, error) {
 		stats.HedgeWins = outcome.HedgeWins
 		stats.BudgetExhausted = outcome.BudgetExhausted
 	}
-	stats.Cost = c.PriceQuery(hostDelta, storageDelta, stats.Offloads)
+	// Each offload is one request/reply round trip on the link.
+	stats.Cost = c.cfg.CostModel.Price(hostDelta, storageDelta, int64(stats.Offloads*2), c.placement)
 
 	// Tail telemetry: the query's simulated end-to-end latency (deterministic,
 	// from the cost model) under its SQL-shape class, plus the current
@@ -220,28 +221,4 @@ func (c *Cluster) storageByID(id string) *storageengine.Server {
 		}
 	}
 	return nil
-}
-
-// PriceQuery converts meter deltas into the simulated end-to-end latency
-// using the cluster's cost model and configuration (storage core count).
-func (c *Cluster) PriceQuery(host, storage simtime.Snapshot, offloads int) simtime.QueryCost {
-	m := *c.cfg.CostModel
-	cores := c.cfg.StorageCores
-	q := simtime.QueryCost{}
-	q.Host = m.PriceCPU(host, m.Host, 1) // host query section is single-threaded, as in SQLite
-	q.Host.TEE = m.PriceTEE(host)
-	q.Storage = m.PriceCPU(storage, m.Storage, cores)
-	q.Storage.TEE = m.PriceTEE(storage)
-	// Operator-batch boundaries cost enclave working-set shuffling only on
-	// the sides that actually run inside a TEE; non-secure modes dispatch
-	// batches for free beyond the CPU-side BatchDispatch term.
-	if c.cfg.Mode == HostOnlySecure || c.cfg.Mode == IronSafe {
-		q.Host.TEE += m.PriceBatchTransitions(host)
-	}
-	if c.cfg.Mode == IronSafe || c.cfg.Mode == StorageOnlySecure {
-		q.Storage.TEE += m.PriceBatchTransitions(storage)
-	}
-	messages := int64(offloads * 2)
-	q.Transfer = m.PriceLink(host.BytesSent+host.BytesReceived, messages)
-	return q
 }

@@ -147,11 +147,13 @@ benchjson:
 
 # benchsmoke is the CI-sized slice: the JSON emitter must produce a valid
 # record at a tiny scale factor, the batched scan path must stay
-# row-identical to the sequential one, and the vectorized executor must stay
-# row-identical to — and strictly cheaper than — row-at-a-time execution.
+# row-identical to the sequential one, the vectorized executor must stay
+# row-identical to — and strictly cheaper than — row-at-a-time execution, and
+# no scs or hos query may run more than 0.5% slower in simulated time than
+# the committed BENCH_results.json records.
 benchsmoke:
 	$(GO) run ./cmd/ironsafe-bench -exp json -sf 0.002 -queries 1,6 -json /tmp/bench_smoke.json
-	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch' ./internal/bench
+	$(GO) test -count=1 -run 'BatchedMatchesSequential|CollectResults|ExecBatch|NoQueryRegression' ./internal/bench
 
 check: build vet lint test race-tier1 chaos-race crashsweep-race rebuildsweep-race graysweep-race ingestsweep-race adversarysweep-race
 

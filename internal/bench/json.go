@@ -100,9 +100,8 @@ var jsonModes = []ironsafe.Mode{
 	ironsafe.StorageOnlySecure,
 }
 
-// CollectResults runs every query on all five configurations and assembles
-// the machine-readable record. The hos cluster uses the same scaled-down EPC
-// as the Fig 6 reproduction so its numbers stay comparable across figures.
+// CollectResults runs every query on all five configurations (built by
+// jsonCluster) and assembles the machine-readable record.
 func CollectResults(sf float64, queries []int) (*Results, error) {
 	data := tpch.Generate(sf)
 	res := &Results{
@@ -114,13 +113,8 @@ func CollectResults(sf float64, queries []int) (*Results, error) {
 		ScsScan:       map[string]ScanCounters{},
 		ScsTail:       map[string]TailClass{},
 	}
-	for _, m := range jsonModes {
-		mode := m
-		c, err := newCluster(mode, data, func(cfg *ironsafe.Config) {
-			if mode == ironsafe.HostOnlySecure {
-				cfg.EPCLimitBytes = 4 << 20
-			}
-		})
+	for _, mode := range jsonModes {
+		c, err := jsonCluster(mode, data)
 		if err != nil {
 			return nil, fmt.Errorf("results %s: %w", mode, err)
 		}
@@ -182,6 +176,17 @@ func CollectResults(sf float64, queries []int) (*Results, error) {
 	}
 	res.Ingest = ing
 	return res, nil
+}
+
+// jsonCluster builds the cluster CollectResults measures mode on. The hos
+// cluster uses the same scaled-down EPC as the Fig 6 reproduction so its
+// numbers stay comparable across figures.
+func jsonCluster(mode ironsafe.Mode, data *tpch.Data) (*ironsafe.Cluster, error) {
+	return newCluster(mode, data, func(cfg *ironsafe.Config) {
+		if mode == ironsafe.HostOnlySecure {
+			cfg.EPCLimitBytes = 4 << 20
+		}
+	})
 }
 
 // collectExecBatch reruns the scs queries with the row-at-a-time executor

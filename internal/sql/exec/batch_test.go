@@ -49,19 +49,43 @@ func edgeCatalog() memCatalog {
 func TestBatchSizeInvariance(t *testing.T) {
 	queries := []struct {
 		name, sql string
+		// probed marks the subquery and left-join shapes, whose probes must
+		// dispatch per batch: strictly fewer Batches than row-at-a-time.
+		probed bool
 	}{
-		{"empty scan", "SELECT a, b FROM empty"},
-		{"empty aggregate", "SELECT count(*), sum(a) FROM empty"},
-		{"all filtered", "SELECT n FROM seq WHERE n > 100"},
-		{"all filtered aggregate", "SELECT count(*) FROM seq WHERE n < 0"},
-		{"limit at batch boundary", "SELECT n FROM seq ORDER BY n LIMIT 3"},
-		{"limit past input", "SELECT n FROM seq ORDER BY n DESC LIMIT 99"},
-		{"null-heavy filter", "SELECT v, tag FROM sparse WHERE v > 1"},
-		{"null-heavy aggregate", "SELECT tag, count(*), sum(v), min(v) FROM sparse GROUP BY tag ORDER BY tag"},
-		{"null-heavy distinct", "SELECT count(DISTINCT v) FROM sparse"},
-		{"join across windows", "SELECT s.n, o.amount FROM seq s, orders o WHERE s.m = 0 AND o.amount > 20 ORDER BY s.n, o.oid"},
-		{"case and in-list", "SELECT n, CASE WHEN n IN (1, 3, 5) THEN 'odd' WHEN n IS NULL THEN 'null' ELSE 'other' END FROM seq ORDER BY n"},
-		{"expressions", "SELECT n + m, n * 2, -n FROM seq WHERE n BETWEEN 2 AND 8 ORDER BY n"},
+		{"empty scan", "SELECT a, b FROM empty", false},
+		{"empty aggregate", "SELECT count(*), sum(a) FROM empty", false},
+		{"all filtered", "SELECT n FROM seq WHERE n > 100", false},
+		{"all filtered aggregate", "SELECT count(*) FROM seq WHERE n < 0", false},
+		{"limit at batch boundary", "SELECT n FROM seq ORDER BY n LIMIT 3", false},
+		{"limit past input", "SELECT n FROM seq ORDER BY n DESC LIMIT 99", false},
+		{"null-heavy filter", "SELECT v, tag FROM sparse WHERE v > 1", false},
+		{"null-heavy aggregate", "SELECT tag, count(*), sum(v), min(v) FROM sparse GROUP BY tag ORDER BY tag", false},
+		{"null-heavy distinct", "SELECT count(DISTINCT v) FROM sparse", false},
+		{"join across windows", "SELECT s.n, o.amount FROM seq s, orders o WHERE s.m = 0 AND o.amount > 20 ORDER BY s.n, o.oid", false},
+		{"case and in-list", "SELECT n, CASE WHEN n IN (1, 3, 5) THEN 'odd' WHEN n IS NULL THEN 'null' ELSE 'other' END FROM seq ORDER BY n", false},
+		{"expressions", "SELECT n + m, n * 2, -n FROM seq WHERE n BETWEEN 2 AND 8 ORDER BY n", false},
+
+		// Subqueries: every shape the batch probe takes over.
+		{"correlated exists with residual", `SELECT o.oid FROM orders o
+			WHERE EXISTS (SELECT * FROM orders o2 WHERE o2.uid = o.uid AND o2.oid <> o.oid)
+			AND NOT EXISTS (SELECT * FROM items i WHERE i.oid = o.oid AND i.qty > 2)`, true},
+		{"uncorrelated in with nulls", "SELECT v, tag FROM sparse WHERE v IN (SELECT m FROM seq WHERE n > 4)", true},
+		{"uncorrelated not in with nulls", "SELECT n, n NOT IN (SELECT v FROM sparse), n NOT IN (SELECT v FROM sparse WHERE v IS NOT NULL) FROM seq", true},
+		{"correlated in with null keys", "SELECT s.v, s.tag, s.v IN (SELECT t.v FROM sparse t WHERE t.tag = s.tag) FROM sparse s", true},
+		{"correlated not in with nulls", `SELECT q.n, q.m IN (SELECT t.v FROM sparse t WHERE t.v >= q.m OR (t.tag = 'x' AND q.n > 5)),
+			q.m NOT IN (SELECT t.v FROM sparse t WHERE t.v >= q.m OR (t.tag = 'x' AND q.n > 5)) FROM seq q`, true},
+		{"correlated scalar aggregate", `SELECT u.id, (SELECT sum(o.amount) FROM orders o WHERE o.uid = u.id) FROM users u
+			WHERE u.id < (SELECT count(*) FROM orders o2 WHERE o2.uid = u.id) + 2`, true},
+		// Only the rows n < 7 leaves undecided may reach the EXISTS probe,
+		// whose residual charges work per candidate. The scalar subquery
+		// returns several rows, an error if it were ever evaluated.
+		{"subquery in or branch", `SELECT n FROM seq
+			WHERE (n < 7 OR EXISTS (SELECT * FROM sparse WHERE sparse.v = seq.m AND sparse.v <> seq.n))
+			AND (n >= 0 OR m = (SELECT v FROM sparse))`, true},
+		{"outer reference in select list", "SELECT u.id FROM users u WHERE u.age IN (SELECT u.age FROM orders) ORDER BY u.id", true},
+		{"left join null keys with residual", `SELECT s.v, s.tag, o.oid FROM sparse s
+			LEFT OUTER JOIN orders o ON s.v = o.uid AND o.amount > 30`, true},
 	}
 	sizes := []int{1, 2, 3, 5, 7, DefaultBatchRows}
 	for _, qc := range queries {
@@ -71,6 +95,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 		}
 		var refRows [][]schema.Row
 		var refSnap simtime.Snapshot
+		var rowBatches int64
 		for si, n := range sizes {
 			var m simtime.Meter
 			res, err := RunBatched(sel, edgeCatalog(), &m, n)
@@ -78,6 +103,13 @@ func TestBatchSizeInvariance(t *testing.T) {
 				t.Fatalf("%s (batch=%d): %v", qc.name, n, err)
 			}
 			snap := m.Snapshot()
+			if n == 1 {
+				rowBatches = snap.Batches
+			}
+			if qc.probed && n == DefaultBatchRows && snap.Batches >= rowBatches {
+				t.Errorf("%s: batch=%d dispatched %d batches, want < row-at-a-time's %d",
+					qc.name, n, snap.Batches, rowBatches)
+			}
 			snap.Batches = 0 // amortization granularity is the one sanctioned difference
 			if si == 0 {
 				refRows = append(refRows, res.Rows)

@@ -82,7 +82,8 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 
 	if hasAgg {
 		specs := collectAggregates(all)
-		subs, err := b.prepareSubqueries(append(append([]ast.Expr{}, all...), groupBy...), input.Sch, env)
+		subExprs := append(append([]ast.Expr{}, all...), groupBy...)
+		subs, err := b.prepareSubqueries(subExprs, input.Sch, env)
 		if err != nil {
 			return nil, err
 		}
@@ -90,6 +91,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		b.traceProbes(subExprs, subs)
 		b.trace.addf("hash aggregate (%d keys, %d aggregates): %d -> %d groups", len(groupBy), len(specs), len(input.Rows), len(maps))
 		gctx := newCtxWith(b, input.Sch, env, nil, subs)
 		for gi, m := range maps {
@@ -188,6 +190,7 @@ func (b *builder) buildSelect(sel *ast.Select, env *Env) (*Result, error) {
 			}
 			b.chargeRows(int64(len(input.Rows)))
 		}
+		b.traceProbes(all, subs)
 	}
 
 	if sel.Distinct {
@@ -678,6 +681,7 @@ func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, err
 	if b.vec() && supportsVec(pred) {
 		// Selection-vector evaluation: one dispatch per batch, no per-row
 		// context copies, output rows shared with the input by reference.
+		// Subqueries in pred are probed per batch (evalVecSubquery).
 		for off := 0; off < len(in.Rows); off += b.batchRows {
 			end := off + b.batchRows
 			if end > len(in.Rows) {
@@ -707,17 +711,20 @@ func (b *builder) applyFilter(in *Result, pred ast.Expr, env *Env) (*Result, err
 		}
 		b.chargeRows(int64(len(in.Rows)))
 	}
+	b.traceProbes([]ast.Expr{pred}, subs)
 	b.trace.addf("filter %s: %d -> %d rows", pred, len(in.Rows), len(out.Rows))
 	return out, nil
 }
 
 // forEachKeyedRow computes the concatenated hash key for every row of res
-// (rows with a NULL key component are skipped, as in evalKey) and calls
-// fn(key, row) in row order. When the keys vectorize it extracts them
-// column-wise per batch; either way it charges one operator pass over res.
-func (b *builder) forEachKeyedRow(res *Result, keys []ast.Expr, env *Env, fn func(key string, row schema.Row)) error {
+// and calls fn(key, null, row) in row order; null reports a NULL key
+// component, as in evalKey. When the keys vectorize it extracts them
+// column-wise per batch; either way it charges one operator pass over res
+// and returns the number of dispatches charged.
+func (b *builder) forEachKeyedRow(res *Result, keys []ast.Expr, env *Env, fn func(key string, null bool, row schema.Row) error) (int, error) {
 	ctx := newCtx(b, res.Sch, env)
 	if b.vec() && supportsVecAll(keys) {
+		batches := 0
 		for off := 0; off < len(res.Rows); off += b.batchRows {
 			end := off + b.batchRows
 			if end > len(res.Rows) {
@@ -729,31 +736,45 @@ func (b *builder) forEachKeyedRow(res *Result, keys []ast.Expr, env *Env, fn fun
 			for i, e := range keys {
 				cv, err := ctx.evalVec(e, bt, sel)
 				if err != nil {
-					return err
+					return batches, err
 				}
 				keyCols[i] = cv
 			}
 			for j := 0; j < bt.Len(); j++ {
 				key, null := vecKeyAt(keyCols, j)
-				if !null {
-					fn(key, bt.Rows[j])
+				if err := fn(key, null, bt.Rows[j]); err != nil {
+					return batches, err
 				}
 			}
 			b.chargeBatch(int64(bt.Len()))
+			batches++
 		}
-		return nil
+		return batches, nil
 	}
 	for _, row := range res.Rows {
 		key, null, err := evalKey(ctx.withRow(row), keys)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if !null {
-			fn(key, row)
+		if err := fn(key, null, row); err != nil {
+			return 0, err
 		}
 	}
 	b.chargeRows(int64(len(res.Rows)))
-	return nil
+	return len(res.Rows), nil
+}
+
+// hashTable groups res's rows by their non-NULL keys, in row order: the
+// build side of the hash joins and of subquery decorrelation.
+func (b *builder) hashTable(res *Result, keys []ast.Expr, env *Env) (map[string][]schema.Row, error) {
+	table := make(map[string][]schema.Row, len(res.Rows))
+	_, err := b.forEachKeyedRow(res, keys, env, func(key string, null bool, row schema.Row) error {
+		if !null { // NULL keys never match an equi-join
+			table[key] = append(table[key], row)
+		}
+		return nil
+	})
+	return table, err
 }
 
 // hashInnerJoin equi-joins two results; with no keys it degrades to a cross
@@ -776,16 +797,17 @@ func (b *builder) hashInnerJoin(left, right *Result, keysL, keysR []ast.Expr, en
 		b.trace.addf("cross join: %d x %d -> %d rows", len(left.Rows), len(right.Rows), len(out.Rows))
 		return out, nil
 	}
-	table := make(map[string][]schema.Row, len(right.Rows))
-	if err := b.forEachKeyedRow(right, keysR, env, func(key string, rr schema.Row) {
-		table[key] = append(table[key], rr)
-	}); err != nil {
+	table, err := b.hashTable(right, keysR, env)
+	if err != nil {
 		return nil, err
 	}
-	if err := b.forEachKeyedRow(left, keysL, env, func(key string, lr schema.Row) {
-		for _, rr := range table[key] {
-			out.Rows = append(out.Rows, concatRows(lr, rr))
+	if _, err := b.forEachKeyedRow(left, keysL, env, func(key string, null bool, lr schema.Row) error {
+		if !null {
+			for _, rr := range table[key] {
+				out.Rows = append(out.Rows, concatRows(lr, rr))
+			}
 		}
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -796,50 +818,41 @@ func (b *builder) hashInnerJoin(left, right *Result, keysL, keysR []ast.Expr, en
 }
 
 // hashLeftJoin performs LEFT OUTER JOIN with ON keys plus a residual ON
-// predicate; unmatched left rows are null-extended.
+// predicate; unmatched left rows, including those with a NULL key, are
+// null-extended in left order. The probe extracts the left keys once per
+// batch; the residual is evaluated per candidate pair.
 func (b *builder) hashLeftJoin(left, right *Result, keysL, keysR []ast.Expr, residual ast.Expr, env *Env) (*Result, error) {
 	outSch := left.Sch.Concat(right.Sch)
 	out := &Result{Sch: outSch}
-	table := make(map[string][]schema.Row, len(right.Rows))
-	if err := b.forEachKeyedRow(right, keysR, env, func(key string, rr schema.Row) {
-		table[key] = append(table[key], rr)
-	}); err != nil {
+	table, err := b.hashTable(right, keysR, env) // no keys: every right row under ""
+	if err != nil {
 		return nil, err
 	}
 	var subs map[ast.Expr]*subEval
 	if residual != nil {
-		var err error
 		subs, err = b.prepareSubqueries([]ast.Expr{residual}, outSch, env)
 		if err != nil {
 			return nil, err
 		}
 	}
 	octx := newCtxWith(b, outSch, env, nil, subs)
-	lctx2 := newCtx(b, left.Sch, env)
 	nulls := make(schema.Row, right.Sch.Len())
 	for i := range nulls {
 		nulls[i] = value.Null()
 	}
-	for _, lr := range left.Rows {
+	matchedRows := 0
+	batches, err := b.forEachKeyedRow(left, keysL, env, func(key string, null bool, lr schema.Row) error {
 		matched := false
 		var candidates []schema.Row
-		if len(keysL) == 0 {
-			candidates = right.Rows
-		} else {
-			key, null, err := evalKey(lctx2.withRow(lr), keysL)
-			if err != nil {
-				return nil, err
-			}
-			if !null {
-				candidates = table[key]
-			}
+		if !null {
+			candidates = table[key]
 		}
 		for _, rr := range candidates {
 			joined := concatRows(lr, rr)
 			if residual != nil {
 				v, err := octx.withRow(joined).eval(residual)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !truthy(v) {
 					continue
@@ -848,14 +861,19 @@ func (b *builder) hashLeftJoin(left, right *Result, keysL, keysR []ast.Expr, res
 			matched = true
 			out.Rows = append(out.Rows, joined)
 		}
-		if !matched {
+		if matched {
+			matchedRows++
+		} else {
 			out.Rows = append(out.Rows, concatRows(lr, nulls))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// The probe with its residual + null-extension edge cases stays
-	// row-at-a-time in both modes; only the build side vectorizes.
-	b.chargeRows(int64(len(left.Rows)))
 	b.chargeTuples(int64(len(out.Rows)))
+	b.trace.addf("left join probe: %s in %s -> %d matched", countText(len(left.Rows), "outer row", "outer rows"),
+		countText(batches, "batch", "batches"), matchedRows)
 	b.trace.addf("left outer join on [%s]: %d x %d -> %d rows", exprsText(keysL), len(left.Rows), len(right.Rows), len(out.Rows))
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"regexp"
 	"strings"
@@ -80,6 +81,22 @@ func TestJoinWithNullKeysProducesNoMatches(t *testing.T) {
 	             WHERE a.age = b.age AND a.id <> b.id`)
 	if len(res.Rows) != 0 {
 		t.Errorf("NULL join keys matched: %v", res.Rows)
+	}
+}
+
+// TestLeftOuterJoinNullKeyNullExtends pins the left-join probe's NULL-key
+// rule at both batch sizes: dave's NULL age matches nothing, not even his
+// own row, so he is null-extended in place.
+func TestLeftOuterJoinNullKeyNullExtends(t *testing.T) {
+	sel := mustParse(t, "SELECT a.id, b.id FROM users a LEFT OUTER JOIN users b ON a.age = b.age")
+	for _, n := range []int{1, DefaultBatchRows} {
+		res, err := RunBatched(sel, testCatalog(), nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(res.Rows), "[[1 1] [2 2] [3 3] [4 NULL]]"; got != want {
+			t.Errorf("batch=%d: rows = %s, want %s", n, got, want)
+		}
 	}
 }
 

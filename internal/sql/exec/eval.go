@@ -263,34 +263,8 @@ func (c *evalCtx) eval(e ast.Expr) (value.Value, error) {
 		}
 		return value.Null(), fmt.Errorf("exec: unknown function %s", x.Name)
 
-	case *ast.Exists:
-		se, ok := c.subs[e]
-		if !ok {
-			return value.Null(), fmt.Errorf("exec: unprepared EXISTS subquery")
-		}
-		found, err := se.exists(c)
-		if err != nil {
-			return value.Null(), err
-		}
-		return value.Bool(found != x.Not), nil
-
-	case *ast.InSubquery:
-		se, ok := c.subs[e]
-		if !ok {
-			return value.Null(), fmt.Errorf("exec: unprepared IN subquery")
-		}
-		lhs, err := c.eval(x.Expr)
-		if err != nil {
-			return value.Null(), err
-		}
-		return se.in(c, lhs, x.Not)
-
-	case *ast.ScalarSubquery:
-		se, ok := c.subs[e]
-		if !ok {
-			return value.Null(), fmt.Errorf("exec: unprepared scalar subquery")
-		}
-		return se.scalar(c)
+	case *ast.Exists, *ast.InSubquery, *ast.ScalarSubquery:
+		return c.evalSubquery(e)
 	}
 	return value.Null(), fmt.Errorf("exec: cannot evaluate %T", e)
 }
@@ -495,12 +469,8 @@ func likeMatch(s, pattern string) bool {
 func containsSubquery(e ast.Expr) bool {
 	found := false
 	ast.Walk(e, func(x ast.Expr) bool {
-		switch x.(type) {
-		case *ast.Exists, *ast.InSubquery, *ast.ScalarSubquery:
-			found = true
-			return false
-		}
-		return true
+		found = found || subquerySelect(x) != nil
+		return !found
 	})
 	return found
 }

@@ -424,6 +424,48 @@ func TestCorrelatedScalarAggregate(t *testing.T) {
 	}
 }
 
+// TestSubqueryOuterReferenceOutsideWhere pins subqueries whose outer
+// references sit outside the WHERE equalities the decorrelator keys on: in
+// the select list, under a correlation key, in HAVING, or in a nested
+// subquery. Memoizing any of them from the first outer row answers every
+// later row with that row's result. The last two cases are keyed
+// subqueries whose HAVING or LIMIT the hash build cannot apply.
+func TestSubqueryOuterReferenceOutsideWhere(t *testing.T) {
+	cases := []struct{ sql, want string }{
+		// dave's age is NULL, so his IN is NULL; everyone else matches
+		// their own age on any order row.
+		{"SELECT u.id FROM users u WHERE u.age IN (SELECT u.age FROM orders) ORDER BY u.id", "[[1] [2] [3]]"},
+		// Keyed on country, but the item also reads u.id: alice and carol
+		// share DE and must not share a cached value.
+		{"SELECT u.id, (SELECT count(*) + u.id FROM items i WHERE i.sku = u.country) FROM users u ORDER BY u.id",
+			"[[1 1] [2 2] [3 3] [4 4]]"},
+		{`SELECT u.id FROM users u WHERE EXISTS (SELECT * FROM orders o
+			WHERE o.oid IN (SELECT i.oid FROM items i WHERE i.qty > u.id * 2)) ORDER BY u.id`, "[[1] [2]]"},
+		{"SELECT u.id FROM users u WHERE EXISTS (SELECT count(*) FROM orders HAVING count(*) > u.id + 2) ORDER BY u.id",
+			"[[1] [2]]"},
+		{`SELECT u.id FROM users u WHERE EXISTS (SELECT count(*) FROM orders o
+			WHERE o.uid = u.id HAVING count(*) > 1) ORDER BY u.id`, "[[1]]"},
+		// alice's cheapest order is 50, so 75 is not in the one-row list.
+		{`SELECT u.id FROM users u WHERE 75 IN (SELECT o.amount FROM orders o
+			WHERE o.uid = u.id ORDER BY o.amount LIMIT 1)`, "[]"},
+	}
+	for _, tc := range cases {
+		sel, err := parser.ParseSelect(tc.sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.sql, err)
+		}
+		for _, n := range []int{1, DefaultBatchRows} {
+			res, err := RunBatched(sel, testCatalog(), nil, n)
+			if err != nil {
+				t.Fatalf("batch=%d %q: %v", n, tc.sql, err)
+			}
+			if got := fmt.Sprint(res.Rows); got != tc.want {
+				t.Errorf("batch=%d %q = %s, want %s", n, tc.sql, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestUncorrelatedScalarSubquery(t *testing.T) {
 	res := q(t, `SELECT name FROM users WHERE id = (SELECT min(uid) FROM orders)`)
 	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "alice" {

@@ -57,3 +57,11 @@ func exprsText(exprs []ast.Expr) string {
 	}
 	return strings.Join(parts, ", ")
 }
+
+// countText renders a count with its noun: "1 batch", "3 batches".
+func countText(n int, one, many string) string {
+	if n == 1 {
+		return "1 " + one
+	}
+	return fmt.Sprintf("%d %s", n, many)
+}

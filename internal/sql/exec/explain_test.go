@@ -50,6 +50,10 @@ func TestExplainLeftJoinAndAggregate(t *testing.T) {
 	if !strings.Contains(plan, "left outer join") {
 		t.Errorf("no outer join line:\n%s", plan)
 	}
+	// dave has no orders: the probe matches 3 of the 4 users.
+	if !strings.Contains(plan, "left join probe: 4 outer rows in 1 batch -> 3 matched") {
+		t.Errorf("no left join probe line:\n%s", plan)
+	}
 	if !strings.Contains(plan, "hash aggregate") {
 		t.Errorf("no aggregate line:\n%s", plan)
 	}
@@ -63,6 +67,16 @@ func TestExplainDecorrelatedSubquery(t *testing.T) {
 		SELECT * FROM orders o WHERE o.uid = u.id)`)
 	if !strings.Contains(plan, "decorrelated on 1 key(s)") {
 		t.Errorf("no decorrelation line:\n%s", plan)
+	}
+}
+
+// TestExplainSubqueryProbe pins the batch probe's line: every user is probed
+// in one batch, and the three with orders match.
+func TestExplainSubqueryProbe(t *testing.T) {
+	_, plan := explain(t, `SELECT name FROM users u WHERE EXISTS (
+		SELECT * FROM orders o WHERE o.uid = u.id)`)
+	if !strings.Contains(plan, "subquery probe (vectorized): 4 outer rows in 1 batch -> 3 match") {
+		t.Errorf("no subquery probe line:\n%s", plan)
 	}
 }
 

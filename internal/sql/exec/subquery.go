@@ -11,18 +11,28 @@ import (
 
 // subEval evaluates one subquery expression (EXISTS, IN, or scalar).
 //
-// Uncorrelated subqueries run once and are memoized. Correlated subqueries
-// are decorrelated: equality conjuncts linking inner columns to outer
-// expressions become hash keys, the inner side (FROM plus inner-only
-// predicates) is materialized once and grouped by those keys, and any
-// remaining outer-referencing conjuncts are evaluated per candidate row at
-// lookup time. This turns the paper's TPC-H correlated subqueries (q2, q4,
-// q21, ...) from per-row re-execution into a single build plus O(1) probes.
+// A subquery that names no column of the enclosing operator's input runs
+// once and is memoized. Any other subquery is decorrelated: equality
+// conjuncts linking inner columns to outer expressions become hash keys, the
+// inner side (FROM plus inner-only predicates) is materialized once and
+// grouped by those keys, and any remaining outer-referencing conjuncts are
+// evaluated per candidate row at lookup time. A subquery whose only outer
+// references sit in its select list decorrelates on zero keys: one group.
+// This turns the paper's TPC-H correlated subqueries (q2, q4, q21, ...) from
+// per-row re-execution into a single build plus O(1) probes. The shapes the
+// build cannot express — GROUP BY, HAVING, DISTINCT or LIMIT, or an outer
+// reference nested in an inner-only predicate — re-execute in full for
+// every outer row.
+//
+// The row-at-a-time evaluator (evalSubquery) and the batch probe
+// (evalVecSubquery) both reach the subquery through probe, so its semantics
+// are written once.
 type subEval struct {
 	b   *builder
 	sel *ast.Select
 
 	uncorrelated bool
+	rerun        bool    // correlated, but executed in full per outer row
 	cached       *Result // memoized full execution (uncorrelated)
 	inSet        map[string]bool
 	inHasNull    bool
@@ -33,57 +43,97 @@ type subEval struct {
 	residual  ast.Expr
 	groups    map[string][]schema.Row
 
-	// outerEnv/ictx are reused across outer rows: the chain's schemas are
-	// fixed per operator, only the bound row changes.
+	// outerEnv binds the enclosing operator's current row: its schema is
+	// fixed per operator, only Row changes. ictx evaluates the residual and
+	// the select item against one inner row under it.
 	outerEnv *Env
 	ictx     *evalCtx
 
+	// memoizable: a correlated scalar depends on the outer row only through
+	// its correlation key, so its value is cached per key.
+	memoizable  bool
 	scalarCache map[string]value.Value
+
+	// Batch-probe totals for the EXPLAIN trace: outer rows probed, batches
+	// probed, and rows that found a match.
+	probeRows, probeBatches, probeMatches int
+}
+
+// subquerySelect returns the body of a subquery node, or nil for any other
+// expression.
+func subquerySelect(x ast.Expr) *ast.Select {
+	switch q := x.(type) {
+	case *ast.Exists:
+		return q.Subquery
+	case *ast.InSubquery:
+		return q.Subquery
+	case *ast.ScalarSubquery:
+		return q.Subquery
+	}
+	return nil
+}
+
+// walkSubqueries calls fn, in a fixed order, for every subquery node in
+// exprs. It does not descend into subquery bodies, but does descend into an
+// IN subquery's left-hand side, which may hold subqueries of its own.
+func walkSubqueries(exprs []ast.Expr, fn func(node ast.Expr, sel *ast.Select) error) error {
+	var err error
+	for _, e := range exprs {
+		ast.Walk(e, func(x ast.Expr) bool {
+			if err != nil {
+				return false
+			}
+			if sel := subquerySelect(x); sel != nil {
+				err = fn(x, sel)
+			}
+			return err == nil
+		})
+	}
+	return err
 }
 
 // prepareSubqueries walks exprs and builds a subEval for every subquery node
 // found, given the enclosing operator's input schema and environment.
 func (b *builder) prepareSubqueries(exprs []ast.Expr, outerSch *schema.Schema, env *Env) (map[ast.Expr]*subEval, error) {
 	subs := map[ast.Expr]*subEval{}
-	var firstErr error
-	for _, e := range exprs {
-		ast.Walk(e, func(x ast.Expr) bool {
-			if firstErr != nil {
-				return false
-			}
-			var sel *ast.Select
-			switch q := x.(type) {
-			case *ast.Exists:
-				sel = q.Subquery
-			case *ast.InSubquery:
-				sel = q.Subquery
-			case *ast.ScalarSubquery:
-				sel = q.Subquery
-			default:
-				return true
-			}
-			se, err := b.prepareSub(sel, outerSch, env)
-			if err != nil {
-				firstErr = err
-				return false
-			}
-			subs[x] = se
-			return true // LHS of InSubquery may itself contain subqueries
-		})
+	err := walkSubqueries(exprs, func(node ast.Expr, sel *ast.Select) error {
+		se, err := b.prepareSub(sel, outerSch, env)
+		if err != nil {
+			return err
+		}
+		subs[node] = se
+		return nil
+	})
+	return subs, err
+}
+
+// traceProbes adds one trace line per subquery in exprs that the batch probe
+// evaluated, in the order prepareSubqueries found them.
+func (b *builder) traceProbes(exprs []ast.Expr, subs map[ast.Expr]*subEval) {
+	if b.trace == nil {
+		return
 	}
-	return subs, firstErr
+	_ = walkSubqueries(exprs, func(node ast.Expr, _ *ast.Select) error {
+		if se := subs[node]; se != nil && se.probeBatches > 0 {
+			b.trace.addf("subquery probe (vectorized): %s in %s -> %d match",
+				countText(se.probeRows, "outer row", "outer rows"),
+				countText(se.probeBatches, "batch", "batches"), se.probeMatches)
+			se.probeBatches = 0 // a node listed twice is reported once
+		}
+		return nil
+	})
 }
 
 // prepareSub analyses and (for the correlated case) materializes a subquery.
 func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, env *Env) (*subEval, error) {
-	se := &subEval{b: b, sel: sel, scalarCache: map[string]value.Value{}}
+	se := &subEval{b: b, sel: sel, scalarCache: map[string]value.Value{},
+		outerEnv: &Env{Parent: env, Sch: outerSch}}
 
 	// Determine the inner scope schema without executing joins yet.
 	innerScope, err := b.scopeSchema(sel, env)
 	if err != nil {
 		return nil, err
 	}
-	outerChain := &Env{Parent: env, Sch: outerSch}
 
 	conjs := ast.SplitConjuncts(sel.Where)
 	var innerOnly, residual []ast.Expr
@@ -96,8 +146,8 @@ func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, env *Env)
 				l, r := eq.Left, eq.Right
 				lInner := resolvableIn(l, innerScope, nil, false) && refsIn(l, innerScope)
 				rInner := resolvableIn(r, innerScope, nil, false) && refsIn(r, innerScope)
-				lOuter := resolvableIn(l, nil, outerChain, true)
-				rOuter := resolvableIn(r, nil, outerChain, true)
+				lOuter := resolvableIn(l, nil, se.outerEnv, true)
+				rOuter := resolvableIn(r, nil, se.outerEnv, true)
 				if lInner && rOuter {
 					se.keysInner = append(se.keysInner, l)
 					se.keysOuter = append(se.keysOuter, r)
@@ -109,23 +159,33 @@ func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, env *Env)
 					continue
 				}
 			}
-			if !resolvableIn(c, innerScope, outerChain, true) {
+			if !resolvableIn(c, innerScope, se.outerEnv, true) {
 				return nil, fmt.Errorf("exec: subquery predicate %s references unknown columns", c)
 			}
 			residual = append(residual, c)
 		}
 	}
 
-	if len(se.keysInner) == 0 && len(residual) == 0 {
+	// Outer references beyond the key and residual conjuncts: in JOIN ON
+	// conditions and subqueries nested in the inner-only conjuncts, which
+	// the build cannot bind, and in the select list, GROUP BY, HAVING and
+	// ORDER BY.
+	scopes := []*schema.Schema{innerScope}
+	innerLoose := b.namesOuter(append(joinConds(sel), innerOnly...), scopes, outerSch)
+	loose := innerLoose || b.selectNamesOuter(sel, nil, scopes, outerSch)
+	se.memoizable = len(residual) == 0 && !loose
+	switch {
+	case len(se.keysInner) == 0 && len(residual) == 0 && !loose:
 		se.uncorrelated = true
 		b.trace.addf("subquery: uncorrelated, executed once and cached")
 		return se, nil // executed lazily on first use
+	case innerLoose || len(sel.GroupBy) > 0 || sel.Having != nil || sel.Distinct || sel.Limit >= 0:
+		se.rerun = true
+		b.trace.addf("subquery: correlated, re-executed per outer row")
+		return se, nil
 	}
 
 	// Correlated: materialize FROM + inner-only predicates at full width.
-	if len(sel.GroupBy) > 0 {
-		return nil, errors.New("exec: correlated subqueries with GROUP BY are not supported")
-	}
 	innerSel := &ast.Select{
 		Items: []ast.SelectItem{{Star: true}},
 		From:  sel.From,
@@ -138,26 +198,93 @@ func (b *builder) prepareSub(sel *ast.Select, outerSch *schema.Schema, env *Env)
 	}
 	se.inner = inner
 	se.residual = ast.JoinConjuncts(residual)
-	se.groups = map[string][]schema.Row{}
-	ctx := newCtx(b, inner.Sch, env)
-	for _, row := range inner.Rows {
-		rc := ctx.withRow(row)
-		key, null, err := evalKey(rc, se.keysInner)
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			continue // NULL keys never match an equi-correlation
-		}
-		se.groups[key] = append(se.groups[key], row)
+	if se.groups, err = b.hashTable(inner, se.keysInner, env); err != nil {
+		return nil, err
 	}
-	// Correlated-subquery group building stays row-at-a-time in both modes.
-	b.chargeRows(int64(len(inner.Rows)))
 	b.trace.addf("subquery: decorrelated on %d key(s) [%s], %d inner rows in %d groups, residual=%v",
 		len(se.keysInner), exprsText(se.keysInner), len(inner.Rows), len(se.groups), se.residual != nil)
-	se.outerEnv = &Env{Parent: env, Sch: outerSch}
 	se.ictx = newCtx(b, inner.Sch, se.outerEnv)
 	return se, nil
+}
+
+// selectNamesOuter reports whether sel names a column of outer outside its
+// WHERE clause, in the where conjuncts given, or in any subquery nested in
+// them. scopes are the schemas that shadow outer, innermost last; select
+// item aliases also shadow it in GROUP BY, HAVING and ORDER BY. A nested
+// subquery adds its base tables to scopes; its derived tables are not
+// planned here and shadow nothing, which can only classify a subquery as
+// correlated needlessly, never the reverse.
+func (b *builder) selectNamesOuter(sel *ast.Select, where []ast.Expr, scopes []*schema.Schema, outer *schema.Schema) bool {
+	var items []ast.Expr
+	aliases := schema.New()
+	for _, it := range sel.Items {
+		items = append(items, it.Expr)
+		if it.Alias != "" {
+			aliases.Columns = append(aliases.Columns, schema.Col(it.Alias, value.KindNull))
+		}
+	}
+	items = append(items, joinConds(sel)...)
+	post := append([]ast.Expr{sel.Having}, sel.GroupBy...)
+	for _, o := range sel.OrderBy {
+		post = append(post, o.Expr)
+	}
+	return b.namesOuter(append(items, where...), scopes, outer) ||
+		b.namesOuter(post, append(scopes[:len(scopes):len(scopes)], aliases), outer)
+}
+
+// joinConds returns sel's JOIN ON conditions.
+func joinConds(sel *ast.Select) []ast.Expr {
+	var on []ast.Expr
+	for _, ref := range sel.From {
+		if ref.Join != nil {
+			on = append(on, ref.Join.On)
+		}
+	}
+	return on
+}
+
+// namesOuter reports whether exprs, or any subquery nested in them, name a
+// column that resolves in outer but in none of scopes.
+func (b *builder) namesOuter(exprs []ast.Expr, scopes []*schema.Schema, outer *schema.Schema) bool {
+	found := false
+	for _, e := range exprs {
+		ast.Walk(e, func(x ast.Expr) bool {
+			if found {
+				return false
+			}
+			if ref, ok := x.(*ast.ColumnRef); ok {
+				name := ref.FullName()
+				found = outer.IndexOf(name) >= 0
+				for _, s := range scopes {
+					found = found && s.IndexOf(name) < 0
+				}
+				return false
+			}
+			if sub := subquerySelect(x); sub != nil {
+				found = b.nestedNamesOuter(sub, scopes, outer)
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// nestedNamesOuter is selectNamesOuter for a nested subquery, whose base
+// tables shadow outer and whose WHERE clause counts in full.
+func (b *builder) nestedNamesOuter(sel *ast.Select, scopes []*schema.Schema, outer *schema.Schema) bool {
+	local := schema.New()
+	for _, ref := range sel.From {
+		if ref.Subquery != nil {
+			if b.nestedNamesOuter(ref.Subquery, scopes, outer) {
+				return true
+			}
+			continue
+		}
+		if rel, err := b.cat.Relation(ref.Table); err == nil {
+			local = local.Concat(rel.Schema().Qualify(ref.Name()))
+		}
+	}
+	return b.selectNamesOuter(sel, []ast.Expr{sel.Where}, append(scopes[:len(scopes):len(scopes)], local), outer)
 }
 
 // scopeSchema computes the combined qualified schema of a SELECT's FROM
@@ -200,76 +327,180 @@ func evalKey(c *evalCtx, keys []ast.Expr) (key string, null bool, err error) {
 	return key, false, nil
 }
 
-// ensureCached runs an uncorrelated subquery once.
-func (se *subEval) ensureCached(c *evalCtx) error {
-	if se.cached != nil {
-		return nil
-	}
-	res, err := se.b.buildSelect(se.sel, &Env{Parent: c.env, Sch: c.sch, Row: c.row})
+// evalSubquery evaluates subquery node e for the row bound in c.
+func (c *evalCtx) evalSubquery(e ast.Expr) (value.Value, error) {
+	se, err := c.subEvalFor(e)
 	if err != nil {
-		return err
+		return value.Null(), err
 	}
-	se.cached = res
-	return nil
-}
-
-// candidates returns the inner rows matching the outer row's correlation key
-// and passing the residual predicate, paired with the inner schema.
-func (se *subEval) candidates(c *evalCtx) ([]schema.Row, *schema.Schema, error) {
+	var lhs value.Value
+	if x, ok := e.(*ast.InSubquery); ok {
+		if lhs, err = c.eval(x.Expr); err != nil || lhs.IsNull() {
+			return value.Null(), err
+		}
+	}
 	key, null, err := evalKey(c, se.keysOuter)
 	if err != nil {
-		return nil, nil, err
+		return value.Null(), err
 	}
+	v, _, err := se.probe(e, key, null, c.row, lhs)
+	return v, err
+}
+
+// evalVecSubquery is the batch probe: it evaluates subquery node e at the
+// selected positions of bt inside the enclosing operator's single dispatch
+// for the batch. The correlation keys are extracted column-wise, then each
+// position takes the probe the row path takes. An IN whose left-hand side is
+// NULL stays NULL without a lookup, as in the row path.
+func (c *evalCtx) evalVecSubquery(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) {
+	se, err := c.subEvalFor(e)
+	if err != nil {
+		return nil, err
+	}
+	out := schema.NewColVec(bt.Len())
+	var lhs *schema.ColVec
+	if x, ok := e.(*ast.InSubquery); ok {
+		if lhs, err = c.evalVec(x.Expr, bt, sel); err != nil {
+			return nil, err
+		}
+		live := make([]int, 0, len(sel))
+		for _, i := range sel {
+			if !lhs.Value(i).IsNull() {
+				live = append(live, i)
+			}
+		}
+		sel = live
+	}
+	if len(sel) == 0 {
+		return out, nil
+	}
+	keyCols := make([]*schema.ColVec, len(se.keysOuter))
+	for k, ke := range se.keysOuter {
+		if keyCols[k], err = c.evalVec(ke, bt, sel); err != nil {
+			return nil, err
+		}
+	}
+	matches := 0
+	for _, i := range sel {
+		key, null := vecKeyAt(keyCols, i)
+		var l value.Value
+		if lhs != nil {
+			l = lhs.Value(i)
+		}
+		v, found, err := se.probe(e, key, null, bt.Rows[i], l)
+		if err != nil {
+			return nil, err
+		}
+		out.Set(i, v)
+		if found {
+			matches++
+		}
+	}
+	se.probeRows += len(sel)
+	se.probeBatches++
+	se.probeMatches += matches
+	return out, nil
+}
+
+// subEvalFor returns the prepared evaluator for subquery node e.
+func (c *evalCtx) subEvalFor(e ast.Expr) (*subEval, error) {
+	if se, ok := c.subs[e]; ok {
+		return se, nil
+	}
+	kind := "scalar"
+	switch e.(type) {
+	case *ast.Exists:
+		kind = "EXISTS"
+	case *ast.InSubquery:
+		kind = "IN"
+	}
+	return nil, fmt.Errorf("exec: unprepared %s subquery", kind)
+}
+
+// probe is the lookup core both evaluators share. It evaluates subquery node
+// e for one outer row, given that row's correlation key (null when a key
+// component is NULL) and, for IN, its non-NULL left-hand value. found reports
+// whether the row found a match — a qualifying inner row for EXISTS, an
+// equal value for IN, a non-NULL value for a scalar subquery.
+func (se *subEval) probe(e ast.Expr, key string, null bool, row schema.Row, lhs value.Value) (v value.Value, found bool, err error) {
+	switch x := e.(type) {
+	case *ast.Exists:
+		found, err = se.exists(key, null, row)
+		return value.Bool(found != x.Not), found, err
+	case *ast.InSubquery:
+		return se.in(key, null, row, lhs, x.Not)
+	}
+	v, err = se.scalar(key, null, row)
+	return v, err == nil && !v.IsNull(), err
+}
+
+// result executes the subquery in full for one outer row: once, memoized,
+// when uncorrelated; afresh for every row when it re-runs.
+func (se *subEval) result(row schema.Row) (*Result, error) {
+	if se.cached != nil {
+		return se.cached, nil
+	}
+	se.outerEnv.Row = row
+	res, err := se.b.buildSelect(se.sel, se.outerEnv)
+	if err != nil {
+		return nil, err
+	}
+	if !se.rerun {
+		se.cached = res
+	}
+	return res, nil
+}
+
+// lookup returns the inner rows matching one outer row: the group under its
+// correlation key, narrowed by the residual evaluated against that row. A
+// NULL key matches nothing.
+func (se *subEval) lookup(key string, null bool, row schema.Row) ([]schema.Row, error) {
 	if null {
-		return nil, se.inner.Sch, nil
+		return nil, nil
 	}
 	rows := se.groups[key]
 	if se.residual == nil {
-		return rows, se.inner.Sch, nil
+		return rows, nil
 	}
-	se.outerEnv.Row = c.row
-	ictx := se.ictx
+	se.outerEnv.Row = row
 	var out []schema.Row
 	for _, r := range rows {
-		v, err := ictx.withRow(r).eval(se.residual)
+		v, err := se.ictx.withRow(r).eval(se.residual)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if truthy(v) {
 			out = append(out, r)
 		}
 	}
 	se.b.chargeWork(int64(len(rows)))
-	return out, se.inner.Sch, nil
+	return out, nil
 }
 
-// exists evaluates EXISTS semantics for the current outer row.
-func (se *subEval) exists(c *evalCtx) (bool, error) {
-	if se.uncorrelated {
-		if err := se.ensureCached(c); err != nil {
+// exists evaluates EXISTS semantics for one outer row.
+func (se *subEval) exists(key string, null bool, row schema.Row) (bool, error) {
+	if se.uncorrelated || se.rerun {
+		res, err := se.result(row)
+		if err != nil {
 			return false, err
 		}
-		return len(se.cached.Rows) > 0, nil
+		return len(res.Rows) > 0, nil
 	}
-	rows, _, err := se.candidates(c)
-	if err != nil {
-		return false, err
-	}
-	return len(rows) > 0, nil
+	rows, err := se.lookup(key, null, row)
+	return len(rows) > 0, err
 }
 
-// in evaluates x [NOT] IN (subquery) with SQL three-valued semantics.
-func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error) {
-	if lhs.IsNull() {
-		return value.Null(), nil
-	}
-	if se.uncorrelated {
-		if err := se.ensureCached(c); err != nil {
-			return value.Null(), err
+// in evaluates lhs [NOT] IN (subquery) for one outer row with SQL
+// three-valued semantics; lhs is not NULL.
+func (se *subEval) in(key string, null bool, row schema.Row, lhs value.Value, not bool) (value.Value, bool, error) {
+	if se.uncorrelated || se.rerun {
+		res, err := se.result(row)
+		if err != nil {
+			return value.Null(), false, err
 		}
-		if se.inSet == nil {
-			se.inSet = map[string]bool{}
-			for _, r := range se.cached.Rows {
+		if se.inSet == nil || se.rerun {
+			se.inSet, se.inHasNull = map[string]bool{}, false
+			for _, r := range res.Rows {
 				if len(r) == 0 {
 					continue
 				}
@@ -281,29 +512,28 @@ func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error
 			}
 		}
 		if se.inSet[lhs.HashKey()] {
-			return value.Bool(!not), nil
+			return value.Bool(!not), true, nil
 		}
 		if se.inHasNull {
-			return value.Null(), nil
+			return value.Null(), false, nil
 		}
-		return value.Bool(not), nil
+		return value.Bool(not), false, nil
 	}
 
-	rows, sch, err := se.candidates(c)
+	rows, err := se.lookup(key, null, row)
 	if err != nil {
-		return value.Null(), err
+		return value.Null(), false, err
 	}
 	if len(se.sel.Items) != 1 || se.sel.Items[0].Star {
-		return value.Null(), errors.New("exec: IN subquery must select exactly one column")
+		return value.Null(), false, errors.New("exec: IN subquery must select exactly one column")
 	}
 	item := se.sel.Items[0].Expr
-	se.outerEnv.Row = c.row
-	ictx := newCtx(se.b, sch, se.outerEnv)
+	se.outerEnv.Row = row
 	sawNull := false
 	for _, r := range rows {
-		v, err := ictx.withRow(r).eval(item)
+		v, err := se.ictx.withRow(r).eval(item)
 		if err != nil {
-			return value.Null(), err
+			return value.Null(), false, err
 		}
 		if v.IsNull() {
 			sawNull = true
@@ -311,33 +541,34 @@ func (se *subEval) in(c *evalCtx, lhs value.Value, not bool) (value.Value, error
 		}
 		cmp, err := value.Compare(lhs, v)
 		if err != nil {
-			return value.Null(), err
+			return value.Null(), false, err
 		}
 		if cmp == 0 {
-			return value.Bool(!not), nil
+			return value.Bool(!not), true, nil
 		}
 	}
 	if sawNull {
-		return value.Null(), nil
+		return value.Null(), false, nil
 	}
-	return value.Bool(not), nil
+	return value.Bool(not), false, nil
 }
 
-// scalar evaluates a scalar subquery for the current outer row.
-func (se *subEval) scalar(c *evalCtx) (value.Value, error) {
-	if se.uncorrelated {
-		if err := se.ensureCached(c); err != nil {
+// scalar evaluates a scalar subquery for one outer row.
+func (se *subEval) scalar(key string, null bool, row schema.Row) (value.Value, error) {
+	if se.uncorrelated || se.rerun {
+		res, err := se.result(row)
+		if err != nil {
 			return value.Null(), err
 		}
 		switch {
-		case len(se.cached.Rows) == 0:
+		case len(res.Rows) == 0:
 			return value.Null(), nil
-		case len(se.cached.Rows) > 1:
+		case len(res.Rows) > 1:
 			return value.Null(), errors.New("exec: scalar subquery returned more than one row")
-		case len(se.cached.Rows[0]) != 1:
+		case len(res.Rows[0]) != 1:
 			return value.Null(), errors.New("exec: scalar subquery must select one column")
 		}
-		return se.cached.Rows[0][0], nil
+		return res.Rows[0][0], nil
 	}
 
 	if len(se.sel.Items) != 1 || se.sel.Items[0].Star {
@@ -345,26 +576,18 @@ func (se *subEval) scalar(c *evalCtx) (value.Value, error) {
 	}
 	item := se.sel.Items[0].Expr
 
-	// Memoizable when the only outer dependence is the hash key.
-	var memoKey string
-	if se.residual == nil {
-		key, null, err := evalKey(c, se.keysOuter)
-		if err != nil {
-			return value.Null(), err
-		}
-		if !null {
-			if v, ok := se.scalarCache[key]; ok {
-				return v, nil
-			}
-			memoKey = key
+	memo := se.memoizable && !null
+	if memo {
+		if v, ok := se.scalarCache[key]; ok {
+			return v, nil
 		}
 	}
 
-	rows, sch, err := se.candidates(c)
+	rows, err := se.lookup(key, null, row)
 	if err != nil {
 		return value.Null(), err
 	}
-	outerChain := &Env{Parent: c.env, Sch: c.sch, Row: c.row}
+	se.outerEnv.Row = row
 
 	var out value.Value
 	if containsAggregate(item) {
@@ -375,13 +598,13 @@ func (se *subEval) scalar(c *evalCtx) (value.Value, error) {
 		specs := collectAggregates([]ast.Expr{item})
 		aggVals := make(map[string]value.Value, len(specs))
 		for _, sp := range specs {
-			v, err := aggregateRows(se.b, sp.call, sch, rows, outerChain)
+			v, err := aggregateRows(se.b, sp.call, se.inner.Sch, rows, se.outerEnv)
 			if err != nil {
 				return value.Null(), err
 			}
 			aggVals[sp.key] = v
 		}
-		ictx := newCtxWith(se.b, sch, outerChain, aggVals, nil)
+		ictx := newCtxWith(se.b, se.inner.Sch, se.outerEnv, aggVals, nil)
 		var rep schema.Row
 		if len(rows) > 0 {
 			rep = rows[0]
@@ -397,15 +620,14 @@ func (se *subEval) scalar(c *evalCtx) (value.Value, error) {
 		case len(rows) > 1:
 			return value.Null(), errors.New("exec: scalar subquery returned more than one row")
 		default:
-			ictx := newCtx(se.b, sch, outerChain)
-			out, err = ictx.withRow(rows[0]).eval(item)
+			out, err = se.ictx.withRow(rows[0]).eval(item)
 			if err != nil {
 				return value.Null(), err
 			}
 		}
 	}
-	if memoKey != "" {
-		se.scalarCache[memoKey] = out
+	if memo {
+		se.scalarCache[key] = out
 	}
 	return out, nil
 }

@@ -64,13 +64,15 @@ func fullSel(n int) []int {
 	return sel
 }
 
-// supportsVec reports whether e can be evaluated by evalVec. Subquery nodes
-// and function calls take the row-at-a-time fallback; everything else in the
-// expression grammar has a vectorized kernel.
+// supportsVec reports whether e can be evaluated by evalVec. Function calls
+// take the row-at-a-time fallback; everything else in the expression grammar
+// has a vectorized kernel, subqueries a batch probe (evalVecSubquery).
 func supportsVec(e ast.Expr) bool {
 	switch x := e.(type) {
-	case *ast.Literal, *ast.ColumnRef:
+	case *ast.Literal, *ast.ColumnRef, *ast.Exists, *ast.ScalarSubquery:
 		return true
+	case *ast.InSubquery:
+		return supportsVec(x.Expr)
 	case *ast.BinaryExpr:
 		// Date ± INTERVAL keeps the interval literal on the right; the
 		// interval itself is not an evaluable expression.
@@ -169,10 +171,10 @@ func (c *evalCtx) resolveColumnIdx(x *ast.ColumnRef) (colRes, error) {
 // dense vector of length bt.Len() whose unselected positions are NULL (and
 // never read). Semantics mirror evalCtx.eval exactly — same three-valued
 // logic, same laziness (AND/OR right sides, CASE arms, IN items, SUBSTRING
-// FOR), same error conditions — so a query produces identical rows and
-// identical TupleWork whichever path runs. Only the order in which an
-// erroring query surfaces its error may differ (by element, not by row);
-// either way the query aborts.
+// FOR, subquery probes), same error conditions — so a query produces
+// identical rows and identical TupleWork whichever path runs. Only the order
+// in which an erroring query surfaces its error may differ (by element, not
+// by row); either way the query aborts.
 func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, error) {
 	n := bt.Len()
 	// Post-aggregation substitution takes priority, as in eval.
@@ -409,6 +411,9 @@ func (c *evalCtx) evalVec(e ast.Expr, bt *Batch, sel []int) (*schema.ColVec, err
 
 	case *ast.Substring:
 		return c.evalVecSubstring(x, bt, sel)
+
+	case *ast.Exists, *ast.InSubquery, *ast.ScalarSubquery:
+		return c.evalVecSubquery(e, bt, sel)
 	}
 	return nil, fmt.Errorf("exec: cannot vectorize %T", e)
 }
